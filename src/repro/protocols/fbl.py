@@ -36,10 +36,9 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro.causality.determinant import Determinant
 from repro.net.network import Message, MessageKind
 from repro.protocols.base import LogBasedProtocol
+from repro.storage.volatile import STABLE_HOST
 
-#: Virtual host id representing the never-failing stable-storage process
-#: the paper introduces for the ``f = n`` case.
-STABLE_HOST = -1
+__all__ = ["STABLE_HOST", "FamilyBasedLogging"]
 
 
 class FamilyBasedLogging(LogBasedProtocol):
@@ -83,25 +82,32 @@ class FamilyBasedLogging(LogBasedProtocol):
     # piggybacking
     # ------------------------------------------------------------------
     def _det_stable(self, det: Determinant) -> bool:
-        hosts = self.det_log.logged_at(det)
-        return STABLE_HOST in hosts or len(hosts) >= self.replication_target
+        return self.det_log.is_stable(det.delivery_id, self.replication_target)
 
     def _track(self, det: Determinant) -> None:
         """Refresh the unstable cache for one determinant."""
         key = det.delivery_id
-        if self._det_stable(det):
-            was = self._unstable.pop(key, None)
-            if was is not None and det.receiver == self.node.node_id:
-                # one of our own deliveries just crossed the f+1 (or
-                # stable-host) threshold: outputs at this rsn are safe
-                self.node.trace.record(
-                    self.node.sim.now, "protocol", self.node.node_id,
-                    "det_stable", rsn=det.rsn, sender=det.sender, ssn=det.ssn,
-                )
-            if self._pending_outputs and det.receiver == self.node.node_id:
-                self._check_pending_outputs()
+        if self.det_log.is_stable(key, self.replication_target):
+            self._settle(key, det)
         else:
             self._unstable[key] = det
+
+    def _settle(self, key: Tuple[int, int], det: Determinant) -> None:
+        """``det`` (of delivery ``key``) is stable: drop it from the
+        unstable cache and release what waited on it."""
+        was = self._unstable.pop(key, None)
+        me = self.node.node_id
+        if det.receiver != me:
+            return
+        if was is not None:
+            # one of our own deliveries just crossed the f+1 (or
+            # stable-host) threshold: outputs at this rsn are safe
+            self.node.trace.record(
+                self.node.sim.now, "protocol", me,
+                "det_stable", rsn=det.rsn, sender=det.sender, ssn=det.ssn,
+            )
+        if self._pending_outputs:
+            self._check_pending_outputs()
 
     def _rebuild_unstable(self) -> None:
         me = self.node.node_id
@@ -120,23 +126,36 @@ class FamilyBasedLogging(LogBasedProtocol):
                 )
 
     def _piggyback_for(self, dst: int) -> List[Tuple[Tuple[int, int, int, int], Tuple[int, ...]]]:
+        unstable = self._unstable
+        if not unstable:
+            return []
+        log = self.det_log
+        target = self.replication_target
         items = []
-        for key in sorted(self._unstable):
-            det = self._unstable[key]
-            hosts = self.det_log.logged_at(det)
+        for key in sorted(unstable):
+            hosts = log.hosts_of(key)
             if dst in hosts:
                 continue  # dst already stores it; no point re-sending
+            det = unstable[key]
             items.append((det.to_tuple(), tuple(sorted(hosts))))
             # Reliable FIFO channel: dst will store it on receipt.
-            self.det_log.note_logged_at(det, dst)
-            self._track(det)
+            log.note_logged_at(det, dst)
+            if log.is_stable(key, target):
+                self._settle(key, det)
         return items
 
     def _absorb_piggyback(self, msg: Message) -> None:
+        if not msg.piggyback:
+            return
+        log = self.det_log
+        here = (msg.src, self.node.node_id)
         for det_tuple, hosts in msg.piggyback:
-            det = Determinant.from_tuple(tuple(det_tuple))
-            merged_hosts = set(hosts) | {msg.src, self.node.node_id}
-            self.det_log.add(det, logged_at=merged_hosts)
+            # reuse the logged determinant of this delivery unless the
+            # piggyback names a different message for it
+            det = log.get((det_tuple[2], det_tuple[3]))
+            if det is None or det.sender != det_tuple[0] or det.ssn != det_tuple[1]:
+                det = Determinant.from_tuple(tuple(det_tuple))
+            log.add(det, logged_at=(*hosts, *here))
             self._track(det)
 
     def _record_own_determinant(self, det: Determinant, msg: Optional[Message]) -> None:
@@ -398,8 +417,8 @@ class FamilyBasedLogging(LogBasedProtocol):
         data.update(
             f=self.f,
             output_flushes=self.output_flushes,
-            unstable_determinants=sum(
-                1 for det in self.det_log.determinants() if not self._det_stable(det)
+            unstable_determinants=self.det_log.count_unstable(
+                self.replication_target
             ),
             # volatile-log GC effectiveness (checkpoint-driven pruning)
             send_log_bytes_pruned=self.send_log.bytes_pruned,

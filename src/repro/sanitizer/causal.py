@@ -98,35 +98,40 @@ class CausalGraph:
             found = self.rolled_back_delivery.get((receiver, rsn))
         return found
 
-    def context_of(self, sender: int, ssn: int, dst: int) -> Optional[int]:
-        """The causal context of a send, live or archived."""
-        context = self.send_context.get((sender, ssn, dst))
-        if context is None:
-            context = self.rolled_back_sends.get((sender, ssn, dst))
-        return context
-
     def send_is_rolled_back(self, sender: int, ssn: int, dst: int) -> bool:
         """Whether this send exists only in rolled-back (orphan) form."""
         key = (sender, ssn, dst)
         return key in self.rolled_back_sends and key not in self.send_context
 
-    def antecedents(self, event: DeliveryKey) -> Set[DeliveryKey]:
-        """Backward closure of one delivery event in the happens-before DAG."""
+    def antecedents(self, *roots: DeliveryKey) -> Set[DeliveryKey]:
+        """Backward closure of the given delivery events in the
+        happens-before DAG: the union of each root's closure, found in
+        one walk that shares its ``seen`` set across the roots."""
+        delivery = self.delivery
+        archived_delivery = self.rolled_back_delivery
+        send_context = self.send_context
+        archived_sends = self.rolled_back_sends
         seen: Set[DeliveryKey] = set()
-        stack = [event]
+        stack = list(roots)
         while stack:
-            node, rsn = stack.pop()
-            if (node, rsn) in seen or rsn < 0:
+            event = stack.pop()
+            node, rsn = event
+            if rsn < 0 or event in seen:
                 continue
-            seen.add((node, rsn))
+            seen.add(event)
             if rsn > 0:
                 stack.append((node, rsn - 1))
-            delivered = self.delivery_at(node, rsn)
+            # a live entry shadows the archived one of the same key
+            delivered = delivery.get(event)
+            if delivered is None:
+                delivered = archived_delivery.get(event)
             if delivered is not None:
-                sender, ssn = delivered
-                context = self.context_of(sender, ssn, node)
+                send = (delivered[0], delivered[1], node)
+                context = send_context.get(send)
+                if context is None:
+                    context = archived_sends.get(send)
                 if context is not None and context > 0:
-                    stack.append((sender, context - 1))
+                    stack.append((delivered[0], context - 1))
         return seen
 
     # ------------------------------------------------------------------

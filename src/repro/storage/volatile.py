@@ -9,11 +9,42 @@ processes' deliveries, replicated via piggybacking).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generic, Iterable, Iterator, List, Optional, Tuple, TypeVar
+from operator import attrgetter
+from typing import (
+    AbstractSet,
+    Any,
+    Dict,
+    FrozenSet,
+    Generic,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    TypeVar,
+)
 
 from repro.causality.determinant import Determinant
 
 T = TypeVar("T")
+
+#: Virtual host id of the never-failing stable-storage process the paper
+#: introduces for the ``f = n`` case: a determinant logged there is
+#: stable whatever its replication count.
+STABLE_HOST = -1
+
+#: sort key giving the dataclass order of :class:`Determinant` (its
+#: fields in declaration order) without a Python-level ``__lt__`` call
+#: per comparison
+_field_order = attrgetter("sender", "ssn", "receiver", "rsn")
+_NO_HOSTS: FrozenSet[int] = frozenset()
+
+
+def _stable(hosts: AbstractSet[int], replication_target: int) -> bool:
+    """The one stability predicate: on stable storage, or replicated at
+    ``replication_target`` hosts or more."""
+    return STABLE_HOST in hosts or len(hosts) >= replication_target
 
 
 class VolatileLog(Generic[T]):
@@ -125,12 +156,19 @@ class DeterminantLog:
     Besides the determinants themselves it tracks, per determinant, the
     set of hosts *known to have logged it* -- the information FBL uses to
     stop piggybacking once a determinant is replicated at ``f + 1``
-    hosts.
+    hosts.  Both maps are keyed by delivery id ``(receiver, rsn)``; the
+    host sets are updated in place, and :meth:`logged_at` hands callers
+    a snapshot so they never alias them.
+
+    A determinant is *stable* at a replication target when it is
+    logged at that many hosts or on stable storage (:data:`STABLE_HOST`);
+    :meth:`is_stable`, :meth:`unstable` and :meth:`count_unstable` share
+    that one predicate.
     """
 
     def __init__(self) -> None:
         self._dets: Dict[Tuple[int, int], Determinant] = {}
-        self._logged_at: Dict[Tuple[int, int], frozenset] = {}
+        self._logged_at: Dict[Tuple[int, int], Set[int]] = {}
         #: cumulative determinants released by checkpoint-driven pruning
         self.entries_pruned = 0
 
@@ -141,36 +179,67 @@ class DeterminantLog:
         Returns True if the determinant was new to this log.
         """
         key = det.delivery_id
-        new = key not in self._dets
-        if new:
+        hosts = self._logged_at.get(key)
+        if hosts is None:
             self._dets[key] = det
-            self._logged_at[key] = frozenset(logged_at)
-        else:
-            self._logged_at[key] = self._logged_at[key] | frozenset(logged_at)
-        return new
+            self._logged_at[key] = set(logged_at)
+            return True
+        hosts.update(logged_at)
+        return False
 
     def note_logged_at(self, det: Determinant, host: int) -> None:
         """Record that ``host`` now stores ``det``."""
-        key = det.delivery_id
-        if key not in self._dets:
-            self.add(det)
-        self._logged_at[key] = self._logged_at[key] | {host}
+        hosts = self._logged_at.get(det.delivery_id)
+        if hosts is None:
+            self.add(det, logged_at=(host,))
+        else:
+            hosts.add(host)
 
-    def logged_at(self, det: Determinant) -> frozenset:
-        """Hosts known to store ``det`` (possibly empty)."""
-        return self._logged_at.get(det.delivery_id, frozenset())
+    def logged_at(self, det: Determinant) -> FrozenSet[int]:
+        """Snapshot of the hosts known to store ``det`` (possibly empty)."""
+        return frozenset(self._logged_at.get(det.delivery_id, ()))
+
+    def hosts_of(self, key: Tuple[int, int]) -> AbstractSet[int]:
+        """Hosts known to store the determinant of delivery ``key``.
+
+        The log's own set, for read-only use on hot paths: it changes as
+        the log learns more, and must not be mutated by the caller (take
+        :meth:`logged_at` for a snapshot).  Empty if ``key`` is unknown.
+        """
+        return self._logged_at.get(key, _NO_HOSTS)
+
+    def get(self, key: Tuple[int, int]) -> Optional[Determinant]:
+        """The determinant of delivery ``key``, or None."""
+        return self._dets.get(key)
+
+    def is_stable(self, key: Tuple[int, int], replication_target: int) -> bool:
+        """Whether delivery ``key``'s determinant is on stable storage or
+        logged at ``replication_target`` hosts or more."""
+        return _stable(self._logged_at.get(key, _NO_HOSTS), replication_target)
 
     # ------------------------------------------------------------------
     def determinants(self) -> List[Determinant]:
         """Every stored determinant, deterministically ordered."""
-        return sorted(self._dets.values())
+        return sorted(self._dets.values(), key=_field_order)
 
     def unstable(self, replication_target: int) -> List[Determinant]:
-        """Determinants logged at fewer than ``replication_target`` hosts."""
+        """Determinants not stable at ``replication_target`` (see
+        :meth:`is_stable`), in :meth:`determinants` order."""
         return sorted(
-            det
-            for key, det in self._dets.items()
-            if len(self._logged_at[key]) < replication_target
+            (
+                det
+                for key, det in self._dets.items()
+                if not _stable(self._logged_at[key], replication_target)
+            ),
+            key=_field_order,
+        )
+
+    def count_unstable(self, replication_target: int) -> int:
+        """``len(self.unstable(replication_target))``, without the sort."""
+        return sum(
+            1
+            for hosts in self._logged_at.values()
+            if not _stable(hosts, replication_target)
         )
 
     def for_receiver(self, receiver: int) -> Dict[int, Determinant]:

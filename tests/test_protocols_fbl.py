@@ -141,3 +141,37 @@ def test_higher_f_piggybacks_more():
     low = run_system(small_config(n=6, f=1, hops=25, seed=3))[1]
     high = run_system(small_config(n=6, f=4, hops=25, seed=3))[1]
     assert high.extra["piggyback_determinants"] >= low.extra["piggyback_determinants"]
+
+
+@pytest.mark.parametrize("protocol", ["fbl", "sender_based", "manetho", "adaptive"])
+@pytest.mark.parametrize("recovery", ["blocking", "nonblocking"])
+def test_stats_unstable_count_matches_recount(protocol, recovery):
+    """``stats()`` counts unstable determinants without walking the
+    sorted log; after crashes and recoveries it must still agree with a
+    from-scratch recount through ``_det_stable``."""
+    from repro import crash_at
+
+    crashes = [crash_at(node=1, time=0.03)]
+    if protocol != "sender_based":  # f = 1: one failure at a time
+        crashes.append(crash_at(node=4, time=0.06))
+    config = small_config(
+        n=6,
+        protocol=protocol,
+        recovery=recovery,
+        hops=40,
+        crashes=crashes,
+        checkpoint_every=10,
+    )
+    system, result = run_system(config)
+    assert result.consistent
+    assert result.episodes
+    for node in system.nodes:
+        protocol_ = node.protocol
+        recount = sum(
+            1 for det in protocol_.det_log.determinants()
+            if not protocol_._det_stable(det)
+        )
+        assert protocol_.stats()["unstable_determinants"] == recount
+        assert recount == len(
+            protocol_.det_log.unstable(protocol_.replication_target)
+        )

@@ -1,7 +1,11 @@
 """Unit tests for volatile logs."""
 
+import pickle
+
+import pytest
+
 from repro.causality.determinant import Determinant
-from repro.storage.volatile import DeterminantLog, SendLog, VolatileLog
+from repro.storage.volatile import STABLE_HOST, DeterminantLog, SendLog, VolatileLog
 
 
 def det(sender=0, ssn=0, receiver=1, rsn=0):
@@ -108,6 +112,72 @@ class TestDeterminantLog:
         assert log.unstable(3) == [d2]
         assert log.unstable(4) == [d1, d2]
 
+    def test_stable_host_counts_as_stable(self):
+        """One predicate: a determinant durable on stable storage is
+        stable however few hosts hold it."""
+        log = DeterminantLog()
+        d1 = det(rsn=0)
+        d2 = det(rsn=1)
+        log.add(d1, logged_at=(1, STABLE_HOST))
+        log.add(d2, logged_at=(1, 2))
+        assert d1 not in log.unstable(3)
+        assert log.unstable(3) == [d2]
+        assert log.count_unstable(3) == 1
+        assert log.is_stable(d1.delivery_id, 3)
+        assert not log.is_stable(d2.delivery_id, 3)
+        assert log.is_stable(d2.delivery_id, 2)
+
+    def test_unknown_delivery_is_unstable_and_hostless(self):
+        log = DeterminantLog()
+        assert not log.is_stable((1, 0), 1)
+        assert log.get((1, 0)) is None
+        assert len(log.hosts_of((1, 0))) == 0
+
+    def test_count_unstable_matches_unstable(self):
+        log = DeterminantLog()
+        for rsn in range(6):
+            log.add(det(rsn=rsn, ssn=rsn), logged_at=range(rsn))
+        log.note_logged_at(det(rsn=1, ssn=1), STABLE_HOST)
+        for target in range(1, 8):
+            assert log.count_unstable(target) == len(log.unstable(target))
+
+    def test_determinants_in_field_order(self):
+        log = DeterminantLog()
+        dets = [
+            det(sender=3, ssn=0, receiver=1, rsn=2),
+            det(sender=0, ssn=4, receiver=2, rsn=0),
+            det(sender=0, ssn=1, receiver=3, rsn=1),
+            det(sender=0, ssn=1, receiver=2, rsn=5),
+        ]
+        for d in dets:
+            log.add(d)
+        assert log.determinants() == sorted(dets)
+
+    def test_logged_at_is_a_snapshot(self):
+        """Callers get a frozen copy: neither mutating what they got nor
+        the log learning more afterwards aliases the two."""
+        log = DeterminantLog()
+        d = det()
+        log.add(d, logged_at=(1,))
+        hosts = log.logged_at(d)
+        assert isinstance(hosts, frozenset)
+        with pytest.raises(AttributeError):
+            hosts.add(7)
+        hosts |= {7}
+        assert log.logged_at(d) == frozenset({1})
+        log.note_logged_at(d, 2)
+        log.add(d, logged_at=(3,))
+        assert hosts == frozenset({1, 7})
+        assert log.logged_at(d) == frozenset({1, 2, 3})
+
+    def test_add_does_not_alias_caller_hosts(self):
+        log = DeterminantLog()
+        d = det()
+        given = {1, 2}
+        log.add(d, logged_at=given)
+        given.add(9)
+        assert log.logged_at(d) == frozenset({1, 2})
+
     def test_for_receiver(self):
         log = DeterminantLog()
         log.add(det(receiver=1, rsn=0))
@@ -131,6 +201,18 @@ class TestDeterminantLog:
         restored.load_state(log.to_state())
         assert d in restored
         assert restored.logged_at(d) == frozenset({1, 4})
+
+    def test_state_round_trip_is_byte_identical(self):
+        log = DeterminantLog()
+        log.add(det(sender=2, ssn=1, receiver=0, rsn=1), logged_at=(0, 3))
+        log.add(det(sender=1, ssn=0, receiver=0, rsn=0), logged_at=(0,))
+        log.note_logged_at(det(sender=1, ssn=0, receiver=0, rsn=0), STABLE_HOST)
+        log.add(det(sender=0, ssn=5, receiver=4, rsn=2), logged_at=(4, 2, 1))
+        state = log.to_state()
+        restored = DeterminantLog()
+        restored.load_state(state)
+        assert repr(restored.to_state()) == repr(state)
+        assert pickle.dumps(restored.to_state()) == pickle.dumps(state)
 
     def test_clear_on_crash(self):
         log = DeterminantLog()
