@@ -114,11 +114,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--checkpoint-every", type=int, default=0,
                         help="take a checkpoint every k deliveries "
                              "(0 = only the initial one)")
-    parser.add_argument("--shards", type=int, default=1,
-                        help="partition the event heap across this many "
-                             "shards with conservative-lookahead windows "
-                             "(1 = the classic single heap; any count "
-                             "yields the same semantic fingerprint)")
     realism = parser.add_argument_group(
         "storage realism",
         "opt-in storage-stack optimisations (repro.core.config."
@@ -278,7 +273,6 @@ def _config_from_args(args: argparse.Namespace, **overrides: Any) -> SystemConfi
         storage_realism=realism,
         adaptive=adaptive_config,
         checkpoint_every=overrides.pop("checkpoint_every", args.checkpoint_every),
-        shard_count=overrides.pop("shard_count", args.shards),
     )
     if overrides:
         raise ValueError(f"unused overrides: {sorted(overrides)}")
@@ -398,13 +392,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         [int(s) for s in args.seeds.split(",")] if args.seeds else [args.seed]
     )
     if args.exhaustive:
-        if args.shards > 1:
-            print(
-                "error: --exhaustive enumerates same-instant ties on one "
-                "global heap; run it with --shards 1",
-                file=sys.stderr,
-            )
-            return 2
         return _cmd_check_exhaustive(args, seeds)
     rows = []
     reports = []
@@ -652,7 +639,6 @@ SWEEP_KNOBS = {
     "loss": ("loss_prob", float),
     "checkpoint-every": ("checkpoint_every", int),
     "batch-window": ("batch_window", float),
-    "shards": ("shard_count", int),
 }
 
 
